@@ -77,7 +77,7 @@ std::string
 tune_text(const runtime::TuneResult &result)
 {
     std::ostringstream out;
-    char buffer[64];
+    char buffer[128];
     const auto metric_line = [&](const runtime::TuneCandidate &c) {
         std::snprintf(buffer, sizeof buffer, " %.17g %.17g %.17g %d",
                       c.metrics.ttft, c.metrics.tbt, c.metrics.throughput,

@@ -675,8 +675,9 @@ ClusterServer::run_sharded(bool keep_records)
         return run;
     };
 
-    // ---- Single-queue FCFS loop (runtime::Server::run, with the
-    // engine call swapped for the sharded cluster run) -----------------
+    // ---- Single-queue FCFS loop (runtime::Server::run_fcfs, with the
+    // engine call swapped for the sharded cluster run and without its
+    // per-shape HBM bound) ---------------------------------------------
     const std::uint64_t cap = config_.max_queue_length;
     const std::uint64_t slots = std::min(max_batch_, cap);
     constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();

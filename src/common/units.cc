@@ -46,8 +46,11 @@ format_bytes(Bytes bytes)
 std::string
 format_seconds(Seconds s)
 {
-    if (s < 0.0)
-        return "-" + format_seconds(-s);
+    if (s < 0.0) {
+        std::string out(1, '-');
+        out += format_seconds(-s);
+        return out;
+    }
     if (s < 1e-6)
         return format_double(s * 1e9, "ns");
     if (s < 1e-3)

@@ -29,12 +29,37 @@
  * This keeps the per-iteration timing consistent with the engine's
  * placement/contention model (the probes contend on the same simulated
  * fabrics) without re-deriving a second analytical cost model.
+ *
+ * Host cost.  An iteration costs O(R log R + A log W + S) for R running
+ * members, A admitted or preempted requests, W waiting + swapped
+ * requests and S candidates the greedy fill skips, never O(W):
+ *
+ *  - EDF keeps one ordered index of the non-running candidates
+ *    (waiting + swapped), keyed (edf_key(deadline), arrival, id).  A
+ *    request enters it on arrival and on preemption and leaves it when
+ *    it is scheduled.  A boundary sorts only the R running members and
+ *    merges them with the index: a running member precedes an indexed
+ *    one iff its key is <=, which yields the fill's (deadline,
+ *    running-first, arrival, id) priority order.
+ *  - The greedy fill stops as soon as the batch holds max_batch
+ *    members, or when a candidate whose full context does not exceed
+ *    the batch's current maximum fails the fit: padded_blocks is
+ *    monotone in count and context, so no later candidate can fit
+ *    either.  A larger-context candidate that fails is skipped and the
+ *    scan goes on, since a smaller one behind it may still fit.
+ *  - An admitted waiting request leaves its tenant queue lazily: the
+ *    queue's stale fronts are dropped whenever the live front is read
+ *    (round-robin fill, starvation check).
+ *  - Per-iteration vectors live outside the loop, the per-request
+ *    `taken` flags are cleared only where they were set, and a probe
+ *    that hits the memo builds no batch and copies no metrics.
  */
 #include "runtime/scheduler.h"
 
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <set>
 #include <tuple>
 #include <utility>
 
@@ -66,7 +91,29 @@ struct ReqState
     std::uint64_t prefill_iter = 0; //!< iteration of its prefill
     bool prefilled = false;  //!< KV resident (prefill done)
     bool promoting = false;  //!< swap-in in flight
+    bool queued = false;     //!< live entry of its tenant queue
+    bool running = false;    //!< holds a slot (incl. promoting)
+    bool swapped = false;    //!< preempted, KV on the host tiers
+    bool taken = false;      //!< chosen at the current boundary
     Seconds ready_at = 0.0;  //!< when the promotion completes
+};
+
+/** An EDF candidate: its place in the (deadline, arrival, id) order
+ *  plus its index into the pending list (the tie-break of last resort,
+ *  so the order stays total even when two requests share an id). */
+struct Candidate
+{
+    Seconds key;
+    Seconds arrival;
+    std::uint64_t id;
+    std::size_t index;
+
+    bool
+    operator<(const Candidate &other) const
+    {
+        return std::tie(key, arrival, id, index) <
+               std::tie(other.key, other.arrival, other.id, other.index);
+    }
 };
 
 } // namespace
@@ -120,11 +167,25 @@ Server::run_continuous()
     for (std::size_t i = 0; i < total; ++i)
         ++tenants[pending_[i].request.tenant].submitted;
 
+    // Tenant queues in arrival order.  EDF admits from the middle of a
+    // queue; such entries only drop their `queued` flag and are popped
+    // once they reach the front (live_front).
     std::vector<std::deque<std::size_t>> waiting(tenant_count);
     std::uint64_t waiting_count = 0;
+    auto live_front = [&](std::uint64_t t) -> std::deque<std::size_t> & {
+        std::deque<std::size_t> &queue = waiting[t];
+        while (!queue.empty() && !state[queue.front()].queued)
+            queue.pop_front();
+        return queue;
+    };
     std::vector<std::size_t> running; // scheduled slots (incl. promoting)
-    std::vector<std::size_t> swapped; // preempted, KV on the host tiers
-    std::vector<char> in_running(total, 0);
+    std::uint64_t swapped_count = 0;  // preempted, KV on the host tiers
+    // EDF: every waiting or swapped request, in priority order.
+    std::set<Candidate> candidates;
+    auto candidate = [&](std::size_t s) {
+        return Candidate{edf_key(state[s].deadline), pending_[s].arrival,
+                         pending_[s].request.id, s};
+    };
 
     // ---- KV admission geometry (mirrors the FCFS bound) ----------------
     const bool kv_bounded =
@@ -135,8 +196,14 @@ Server::run_continuous()
             (context + kv_block_tokens_ - 1) / kv_block_tokens_;
         return count * blocks * base_.micro_batches;
     };
-    auto full_context = [this](const workload::Request &r) {
+    auto full_context = [this](std::size_t s) {
+        const workload::Request &r = pending_[s].request;
         return r.prompt_tokens + r.output_tokens;
+    };
+    auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
+        return count <= max_batch_ &&
+               (!kv_bounded ||
+                padded_blocks(count, ctx) <= kv_capacity_blocks_);
     };
 
     // ---- Arrival admission ---------------------------------------------
@@ -149,7 +216,7 @@ Server::run_continuous()
                 report.rejected_ids.push_back(rq.id);
                 ++tenants[rq.tenant].rejected;
             } else if (kv_bounded &&
-                       padded_blocks(1, full_context(rq)) >
+                       padded_blocks(1, full_context(next_arrival)) >
                            kv_capacity_blocks_) {
                 // Can never fit the managed tiers, alone or otherwise.
                 report.rejected_ids.push_back(rq.id);
@@ -157,6 +224,9 @@ Server::run_continuous()
                 ++tenants[rq.tenant].rejected;
             } else {
                 waiting[rq.tenant].push_back(next_arrival);
+                state[next_arrival].queued = true;
+                if (edf)
+                    candidates.insert(candidate(next_arrival));
                 ++waiting_count;
                 report.max_queue_depth = std::max<std::uint64_t>(
                     report.max_queue_depth, waiting_count);
@@ -165,33 +235,11 @@ Server::run_continuous()
         }
     };
 
-    // ---- Iteration cost probes (memoized through run_batch) ------------
+    // ---- Iteration cost probes (memoized through probe_time) -----------
     const std::uint64_t bucket_grain =
         kv_block_tokens_ > 0 ? kv_block_tokens_ : 16;
     auto bucketed = [&](std::uint64_t tokens) {
         return ((tokens + bucket_grain - 1) / bucket_grain) * bucket_grain;
-    };
-    auto prefill_cost = [&](std::uint64_t count,
-                            std::uint64_t prompt) -> Result<Seconds> {
-        workload::Batch probe;
-        for (std::uint64_t i = 0; i < count; ++i)
-            probe.requests.push_back(
-                workload::Request{i, bucketed(prompt), 1, 0});
-        const auto metrics = run_batch(probe);
-        if (!metrics.is_ok())
-            return metrics.status();
-        return metrics->ttft;
-    };
-    auto decode_cost = [&](std::uint64_t count,
-                           std::uint64_t context) -> Result<Seconds> {
-        workload::Batch probe;
-        for (std::uint64_t i = 0; i < count; ++i)
-            probe.requests.push_back(
-                workload::Request{i, bucketed(context), 2, 0});
-        const auto metrics = run_batch(probe);
-        if (!metrics.is_ok())
-            return metrics.status();
-        return metrics->tbt;
     };
 
     // ---- Swap channels --------------------------------------------------
@@ -220,10 +268,16 @@ Server::run_continuous()
     std::uint64_t member_iterations = 0;
     std::uint64_t rr_tenant = 0; // round-robin pointer (continuous)
     Seconds busy = 0.0;          // summed iteration walls (for idle)
+    // Reused across iterations; clear() keeps their capacity.
+    std::vector<std::size_t> prefills; // admitted from waiting
+    std::vector<std::size_t> chosen;   // EDF slot set, fill order
+    std::vector<std::size_t> by_key;   // running members, EDF order
+    std::vector<std::size_t> kept;
+    std::vector<std::size_t> decoders;
 
-    while (!running.empty() || !swapped.empty() || waiting_count > 0 ||
+    while (!running.empty() || swapped_count > 0 || waiting_count > 0 ||
            next_arrival < total) {
-        if (running.empty() && swapped.empty() && waiting_count == 0) {
+        if (running.empty() && swapped_count == 0 && waiting_count == 0) {
             now = std::max(now, pending_[next_arrival].arrival);
             admit_until(now);
             continue;
@@ -237,67 +291,67 @@ Server::run_continuous()
         }
 
         // ---- Re-form the slot set at this boundary ---------------------
-        std::vector<std::size_t> prefills; // chosen from waiting
+        prefills.clear();
         Bytes demoted_now = 0, promoted_now = 0;
         if (edf) {
-            // Candidates: running, swapped, and every waiting request.
             // Priority (deadline, running-first, arrival, id): a waiting
             // request displaces a running one only with a strictly
             // earlier deadline, so equal-deadline mixes never thrash.
-            std::vector<std::size_t> cands;
-            cands.insert(cands.end(), running.begin(), running.end());
-            cands.insert(cands.end(), swapped.begin(), swapped.end());
-            for (const auto &queue : waiting)
-                cands.insert(cands.end(), queue.begin(), queue.end());
-            auto prio = [&](std::size_t s) {
-                return std::make_tuple(edf_key(state[s].deadline),
-                                       in_running[s] ? 0 : 1,
-                                       pending_[s].arrival,
-                                       pending_[s].request.id);
-            };
-            std::sort(cands.begin(), cands.end(),
-                      [&](std::size_t a, std::size_t b) {
-                          return prio(a) < prio(b);
-                      });
-
+            //
             // A running request mid-promotion or out of preemption
             // budget is pinned: it keeps its slot regardless of
             // deadline order (livelock guard).  The pinned set fit the
             // capacity last boundary and padded contexts are constant,
             // so seeding with it cannot overflow.
-            std::vector<std::size_t> chosen;
-            std::vector<char> taken(total, 0);
+            chosen.clear();
             std::uint64_t max_ctx = 0;
-            auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= max_batch_ &&
-                       (!kv_bounded ||
-                        padded_blocks(count, ctx) <= kv_capacity_blocks_);
-            };
             for (std::size_t s : running) {
                 if (state[s].promoting ||
                     state[s].preemptions >= config_.max_preemptions) {
                     chosen.push_back(s);
-                    taken[s] = 1;
-                    max_ctx = std::max(max_ctx,
-                                       full_context(pending_[s].request));
+                    state[s].taken = true;
+                    max_ctx = std::max(max_ctx, full_context(s));
                 }
             }
-            for (std::size_t s : cands) {
-                if (taken[s])
+            // Walk the running members and the candidate index as one
+            // merged priority order; on equal deadline keys the running
+            // member goes first.
+            by_key.assign(running.begin(), running.end());
+            std::sort(by_key.begin(), by_key.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          return candidate(a) < candidate(b);
+                      });
+            auto next = candidates.begin();
+            std::size_t next_running = 0;
+            while (chosen.size() < max_batch_) {
+                std::size_t s;
+                if (next_running < by_key.size() &&
+                    (next == candidates.end() ||
+                     edf_key(state[by_key[next_running]].deadline) <=
+                         next->key)) {
+                    s = by_key[next_running++];
+                } else if (next != candidates.end()) {
+                    s = (next++)->index;
+                } else {
+                    break;
+                }
+                if (state[s].taken)
                     continue;
-                const std::uint64_t ctx = std::max(
-                    max_ctx, full_context(pending_[s].request));
-                if (!fits(chosen.size() + 1, ctx))
-                    continue; // a smaller-context candidate may still fit
+                const std::uint64_t ctx = std::max(max_ctx, full_context(s));
+                if (!fits(chosen.size() + 1, ctx)) {
+                    if (ctx == max_ctx)
+                        break; // monotone: no later candidate fits
+                    continue;  // a smaller-context candidate may still fit
+                }
                 chosen.push_back(s);
-                taken[s] = 1;
+                state[s].taken = true;
                 max_ctx = ctx;
             }
 
             // Preempt running members that lost their slot.
-            std::vector<std::size_t> kept;
+            kept.clear();
             for (std::size_t s : running) {
-                if (taken[s]) {
+                if (state[s].taken) {
                     kept.push_back(s);
                     continue;
                 }
@@ -325,20 +379,23 @@ Server::run_continuous()
                 // boundary and the d2h drain overlaps the next
                 // iteration (the channel busy-until serializes later
                 // swaps behind it).
-                in_running[s] = 0;
-                swapped.push_back(s);
+                state[s].running = false;
+                state[s].swapped = true;
+                ++swapped_count;
+                candidates.insert(candidate(s));
             }
-            running = std::move(kept);
+            running.swap(kept);
 
             // Admit the chosen newcomers: swapped ones start their
             // promotion, waiting ones prefill this iteration.
             for (std::size_t s : chosen) {
-                if (in_running[s])
+                state[s].taken = false;
+                if (state[s].running)
                     continue;
-                const auto swap_it =
-                    std::find(swapped.begin(), swapped.end(), s);
-                if (swap_it != swapped.end()) {
-                    swapped.erase(swap_it);
+                candidates.erase(candidate(s));
+                if (state[s].swapped) {
+                    state[s].swapped = false;
+                    --swapped_count;
                     const Bytes bytes = kv_bytes_of(s);
                     report.kv_promoted_bytes += bytes;
                     promoted_now += bytes;
@@ -356,13 +413,11 @@ Server::run_continuous()
                     state[s].promoting = true;
                     state[s].ready_at = promote_free;
                 } else {
-                    auto &queue = waiting[pending_[s].request.tenant];
-                    queue.erase(
-                        std::find(queue.begin(), queue.end(), s));
+                    state[s].queued = false;
                     --waiting_count;
                     prefills.push_back(s);
                 }
-                in_running[s] = 1;
+                state[s].running = true;
                 running.push_back(s);
             }
         } else {
@@ -370,33 +425,27 @@ Server::run_continuous()
             // round-robin across tenant queues.
             std::uint64_t max_ctx = 0;
             for (std::size_t s : running)
-                max_ctx = std::max(max_ctx,
-                                   full_context(pending_[s].request));
-            auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-                return count <= max_batch_ &&
-                       (!kv_bounded ||
-                        padded_blocks(count, ctx) <= kv_capacity_blocks_);
-            };
+                max_ctx = std::max(max_ctx, full_context(s));
             while (waiting_count > 0) {
                 // Next nonempty tenant queue after the round-robin
                 // pointer.
                 std::uint64_t t = rr_tenant;
                 for (std::uint64_t step = 0; step < tenant_count; ++step) {
-                    if (!waiting[(rr_tenant + step) % tenant_count]
+                    if (!live_front((rr_tenant + step) % tenant_count)
                              .empty()) {
                         t = (rr_tenant + step) % tenant_count;
                         break;
                     }
                 }
                 const std::size_t s = waiting[t].front();
-                const std::uint64_t ctx = std::max(
-                    max_ctx, full_context(pending_[s].request));
+                const std::uint64_t ctx = std::max(max_ctx, full_context(s));
                 if (!fits(running.size() + 1, ctx))
                     break;
                 waiting[t].pop_front();
+                state[s].queued = false;
                 --waiting_count;
                 max_ctx = ctx;
-                in_running[s] = 1;
+                state[s].running = true;
                 running.push_back(s);
                 prefills.push_back(s);
                 rr_tenant = (t + 1) % tenant_count;
@@ -411,10 +460,10 @@ Server::run_continuous()
                 latest_admitted =
                     std::max(latest_admitted, pending_[s].arrival);
             for (std::uint64_t t = 0; t < tenant_count; ++t) {
-                if (waiting[t].empty())
+                const std::deque<std::size_t> &queue = live_front(t);
+                if (queue.empty())
                     continue;
-                if (pending_[waiting[t].front()].arrival <
-                    latest_admitted) {
+                if (pending_[queue.front()].arrival < latest_admitted) {
                     ++tenants[t].starvation_events;
                     ++report.starvation_events;
                 }
@@ -448,7 +497,7 @@ Server::run_continuous()
         }
 
         // ---- Partition the slot set into this iteration's work ---------
-        std::vector<std::size_t> decoders;
+        decoders.clear();
         for (std::size_t s : running) {
             if (state[s].prefilled && !state[s].promoting)
                 decoders.push_back(s);
@@ -485,7 +534,9 @@ Server::run_continuous()
             for (std::size_t s : prefills)
                 max_prompt = std::max(
                     max_prompt, pending_[s].request.prompt_tokens);
-            const auto cost = prefill_cost(prefills.size(), max_prompt);
+            const auto cost =
+                probe_time(prefills.size(), bucketed(max_prompt), 1,
+                           &InferenceMetrics::ttft);
             if (!cost.is_ok())
                 return cost.status();
             prefill_time = *cost;
@@ -498,7 +549,9 @@ Server::run_continuous()
                     max_context, pending_[s].request.prompt_tokens +
                                      state[s].generated);
             }
-            const auto cost = decode_cost(decoders.size(), max_context);
+            const auto cost =
+                probe_time(decoders.size(), bucketed(max_context), 2,
+                           &InferenceMetrics::tbt);
             if (!cost.is_ok())
                 return cost.status();
             decode_time = *cost;
@@ -545,7 +598,7 @@ Server::run_continuous()
         }
 
         // ---- Retire completed requests at the boundary -----------------
-        std::vector<std::size_t> kept;
+        kept.clear();
         for (std::size_t s : running) {
             const workload::TimedRequest &timed = pending_[s];
             if (!state[s].prefilled ||
@@ -553,7 +606,7 @@ Server::run_continuous()
                 kept.push_back(s);
                 continue;
             }
-            in_running[s] = 0;
+            state[s].running = false;
             RequestMetrics r;
             r.id = timed.request.id;
             r.tenant = timed.request.tenant;
@@ -590,7 +643,7 @@ Server::run_continuous()
             report.requests.push_back(r);
             last_completion = iter_end;
         }
-        running = std::move(kept);
+        running.swap(kept);
         now = iter_end;
     }
     pending_.clear();

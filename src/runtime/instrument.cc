@@ -266,6 +266,8 @@ record_serving(telemetry::MetricsRegistry &registry,
     outcome("completed", report.completed);
     outcome("rejected", report.rejected);
     outcome("kv_rejected", report.kv_rejected);
+    if (report.hbm_rejected > 0)
+        outcome("hbm_rejected", report.hbm_rejected);
     registry
         .counter("helm_serving_batches_formed_total", {},
                  "Batches the scheduler launched")

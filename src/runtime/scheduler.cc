@@ -76,7 +76,7 @@ Server::create(ServingSpec base, ServingConfig config)
     HELM_RETURN_IF_ERROR(base.validate());
     HELM_RETURN_IF_ERROR(config.validate());
 
-    const auto layers = model::build_layers(
+    auto layers = model::build_layers(
         base.model, base.compress_weights ? model::DataType::kInt4Grouped
                                           : model::DataType::kFp16);
     std::uint64_t ceiling = config.auto_max_batch ? 0 : config.max_batch;
@@ -149,6 +149,7 @@ Server::create(ServingSpec base, ServingConfig config)
     }
 
     Server server(std::move(base), config, ceiling);
+    server.layers_ = std::move(layers);
     server.kv_block_tokens_ = kv_block_tokens;
     server.kv_capacity_blocks_ = kv_capacity_blocks;
     server.kv_request_slots_ = kv_request_slots;
@@ -182,18 +183,62 @@ Server::submit(const workload::TimedRequest &timed)
     return Status::ok();
 }
 
+std::uint64_t
+Server::hbm_request_slots(std::uint64_t prompt, std::uint64_t output)
+{
+    const auto key = std::make_pair(prompt, output);
+    const auto cached = hbm_slots_.find(key);
+    if (cached != hbm_slots_.end())
+        return cached->second;
+    model::SequenceShape shape;
+    shape.prompt_tokens = prompt;
+    shape.output_tokens = output;
+    const std::uint64_t slots =
+        max_batch(base_.gpu, base_.model, layers_, /*gpu_weight_bytes=*/0,
+                  shape, base_.compress_weights,
+                  /*limit=*/max_batch_ * base_.micro_batches,
+                  base_.kv_resident_on_gpu()) /
+        base_.micro_batches;
+    hbm_slots_.emplace(key, slots);
+    return slots;
+}
+
+const InferenceMetrics *
+Server::memo_hit(const MemoKey &key) const
+{
+    const auto cached = memo_.find(key);
+    if (cached != memo_.end() &&
+        (!telemetry_ || extras_.count(key) > 0))
+        return &cached->second;
+    return nullptr;
+}
+
+Result<Seconds>
+Server::probe_time(std::uint64_t count, std::uint64_t prompt,
+                   std::uint64_t output, Seconds InferenceMetrics::*field)
+{
+    if (const InferenceMetrics *cached =
+            memo_hit(std::make_tuple(count, prompt, output)))
+        return cached->*field;
+    workload::Batch probe;
+    for (std::uint64_t i = 0; i < count; ++i)
+        probe.requests.push_back(workload::Request{i, prompt, output, 0});
+    const auto metrics = run_batch(probe);
+    if (!metrics.is_ok())
+        return metrics.status();
+    return (*metrics).*field;
+}
+
 Result<InferenceMetrics>
 Server::run_batch(const workload::Batch &batch)
 {
     if (batch.size() == 0)
         return Status::invalid_argument("cannot run an empty batch");
-    const auto key = std::make_tuple(batch.size(),
-                                     batch.max_prompt_tokens(),
-                                     batch.max_output_tokens());
-    const auto cached = memo_.find(key);
-    if (cached != memo_.end() &&
-        (!telemetry_ || extras_.count(key) > 0))
-        return cached->second;
+    const MemoKey key = std::make_tuple(batch.size(),
+                                        batch.max_prompt_tokens(),
+                                        batch.max_output_tokens());
+    if (const InferenceMetrics *cached = memo_hit(key))
+        return *cached;
 
     // A fresh batch signature on a warm server marks a steady-state
     // boundary: batch re-formation changed the decode timeline digest,
@@ -317,9 +362,11 @@ Server::run_fcfs()
         workload::Batch batch;
         std::vector<std::size_t> members;
         std::uint64_t max_context = 0;
+        std::uint64_t max_prompt = 0, max_output = 0;
         while (!queue.empty() && batch.size() < max_batch_) {
             const workload::Request &request =
                 pending_[queue.front()].request;
+            std::uint64_t grown = max_context;
             if (kv_bounded) {
                 const std::uint64_t context =
                     request.prompt_tokens + request.output_tokens;
@@ -330,13 +377,30 @@ Server::run_fcfs()
                     queue.pop_front();
                     continue;
                 }
-                const std::uint64_t grown =
-                    std::max(max_context, context);
+                grown = std::max(max_context, context);
                 if (padded_blocks(batch.size() + 1, grown) >
                     kv_capacity_blocks_)
                     break; // batch full by KV capacity
-                max_context = grown;
             }
+            // HBM admission: the engine pads every member to the
+            // batch's longest prompt and output and refuses a batch that
+            // does not fit HBM even with every weight spilled off.
+            const std::uint64_t prompt =
+                std::max(max_prompt, request.prompt_tokens);
+            const std::uint64_t output =
+                std::max(max_output, request.output_tokens);
+            if (batch.size() + 1 > hbm_request_slots(prompt, output)) {
+                if (!batch.requests.empty())
+                    break; // batch full by HBM capacity
+                // Does not fit alone: shed it.
+                report.rejected_ids.push_back(request.id);
+                ++report.hbm_rejected;
+                queue.pop_front();
+                continue;
+            }
+            max_context = grown;
+            max_prompt = prompt;
+            max_output = output;
             members.push_back(queue.front());
             batch.requests.push_back(request);
             queue.pop_front();

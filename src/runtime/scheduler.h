@@ -7,7 +7,9 @@
  * under a `ServingConfig`-selected scheduler:
  *
  *  - fcfs:        PR 1's dynamic batcher — a formed batch runs to
- *                 completion (bit-for-bit the historical path);
+ *                 completion, growing only while its padded shape
+ *                 fits HBM (bit-for-bit the historical path on every
+ *                 serve that path could complete);
  *  - continuous:  iteration-level continuous batching — the running
  *                 batch re-forms at every decode-iteration boundary
  *                 (finished requests retire immediately, free slots
@@ -33,6 +35,7 @@
 #include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -140,6 +143,10 @@ struct ServingReport
     /** Of the rejected, how many were shed because their padded context
      *  can never fit the managed KV tiers (subset of rejected). */
     std::uint64_t kv_rejected = 0;
+    /** Of the rejected, how many were shed by fcfs because their padded
+     *  shape does not fit HBM even alone with every weight spilled off
+     *  (subset of rejected). */
+    std::uint64_t hbm_rejected = 0;
     std::uint64_t batches_formed = 0;
     std::uint64_t max_queue_depth = 0; //!< peak waiting requests
     double mean_batch_size = 0.0;
@@ -313,11 +320,36 @@ class Server : public ServingBackend
         : base_(std::move(base)), config_(config), max_batch_(max_batch)
     {}
 
-    /** PR 1's FCFS dynamic batcher (bit-for-bit the historical path). */
+    /** PR 1's FCFS dynamic batcher (bit-for-bit the historical path
+     *  on every serve that path could complete). */
     Result<ServingReport> run_fcfs();
 
     /** Iteration-level continuous batching / EDF (continuous.cc). */
     Result<ServingReport> run_continuous();
+
+    /**
+     * Requests of padded shape (@p prompt, @p output) that fit HBM with
+     * zero resident weights — the floor the engine enforces before it
+     * simulates a batch (ServingSpec::validate).  Memoized per shape;
+     * the search stops at max_batch_, the most the caller can ask for.
+     */
+    std::uint64_t hbm_request_slots(std::uint64_t prompt,
+                                    std::uint64_t output);
+
+    using MemoKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+
+    /** The memoized metrics run_batch() would return for @p key
+     *  (batch, prompt, output) without simulating; nullptr on a miss. */
+    const InferenceMetrics *memo_hit(const MemoKey &key) const;
+
+    /**
+     * @p field of run_batch() over @p count requests of @p prompt and
+     * @p output tokens — the continuous schedulers' iteration probe.
+     * A memo hit builds no batch and copies no metrics.
+     */
+    Result<Seconds> probe_time(std::uint64_t count, std::uint64_t prompt,
+                               std::uint64_t output,
+                               Seconds InferenceMetrics::*field);
 
     ServingSpec base_;
     ServingConfig config_;
@@ -330,10 +362,13 @@ class Server : public ServingBackend
         std::numeric_limits<std::uint64_t>::max();
     std::uint64_t kv_request_slots_ = 0;
     std::vector<workload::TimedRequest> pending_;
+    /** The model's per-layer weights, built once by create(). */
+    std::vector<model::LayerSpec> layers_;
+    /** (prompt, output) -> hbm_request_slots() memo. */
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
+        hbm_slots_;
     /** (batch, prompt, output) -> engine metrics memo. */
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-             InferenceMetrics>
-        memo_;
+    std::map<MemoKey, InferenceMetrics> memo_;
 
     /** Attribution + records of one memoized batch shape. */
     struct BatchExtras
@@ -347,9 +382,7 @@ class Server : public ServingBackend
     Bandwidth h2d_rate_;
     telemetry::TimeAttribution attribution_;
     std::vector<LayerStepRecord> records_;
-    std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-             BatchExtras>
-        extras_;
+    std::map<MemoKey, BatchExtras> extras_;
 };
 
 } // namespace helm::runtime

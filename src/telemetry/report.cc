@@ -182,6 +182,10 @@ print_serving_section(std::ostream &out, const MetricsRegistry &reg)
         << " submitted";
     if (kv_rejected > 0)
         out << " (" << kv_rejected << " exceeded KV capacity)";
+    const std::uint64_t hbm_rejected = count(
+        reg, "helm_serving_requests_total", {{"outcome", "hbm_rejected"}});
+    if (hbm_rejected > 0)
+        out << " (" << hbm_rejected << " exceeded GPU memory)";
     out << "\n"
         << "batches:     " << count(reg, "helm_serving_batches_formed_total")
         << " formed, mean size "

@@ -213,8 +213,9 @@ TEST(PartitionLayersTest, CoversAllLayersContiguously)
         EXPECT_EQ(ranges->back().second, layers.size());
         for (std::size_t s = 0; s < stages; ++s) {
             EXPECT_LT((*ranges)[s].first, (*ranges)[s].second);
-            if (s > 0)
+            if (s > 0) {
                 EXPECT_EQ((*ranges)[s].first, (*ranges)[s - 1].second);
+            }
         }
     }
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "model/footprint.h"
 #include "model/opt.h"
 #include "runtime/scheduler.h"
 #include "workload/arrival.h"
@@ -264,6 +265,92 @@ TEST(Edf, MaxPreemptionsBoundsEveryRequest)
     EXPECT_EQ(report.completed, stream.size());
     for (const auto &r : report.requests)
         EXPECT_LE(r.preemptions, 1u) << "request " << r.id;
+}
+
+TEST(Edf, BoundedKvSkipsLongContextAndKeepsPinnedSlots)
+{
+    // One bounded host tier of 60 KV blocks (16 tokens each), four
+    // slots, one preemption per request.  Every full context ends one
+    // token past a block boundary (273 = 18 blocks, 65 = 5, 673 = 43),
+    // so the decode cost probe, which pads a context to a block multiple
+    // plus 2 tokens, never needs more blocks than admission reserved.
+    //  - t=0:   lax jobs 0 and 1 start;
+    //  - t=0.5: urgent jobs 2 and 3 take slots, and job 1 no longer
+    //    fits (4 x 18 > 60 blocks): it is preempted and, out of budget
+    //    once it resumes, pinned;
+    //  - t=3.5: long job 4 (deadline 30) and short job 5 (deadline 60)
+    //    arrive.  Job 4 does not fit beside the pinned job 1
+    //    (2 x 43 > 60) and is skipped; job 5, later in EDF order, is
+    //    admitted past it.  Job 4 starts only once job 1 completes.
+    ServingSpec spec = small_spec();
+    const Bytes block_bytes =
+        16 * model::kv_bytes_per_block(spec.model, 1) * spec.model.blocks;
+    auto kv = kvcache::KvCacheConfig::legacy_offload();
+    kv.tiers[0].capacity = 60 * block_bytes;
+    spec.kv_cache = kv;
+    ServingConfig config = edf_two_slots();
+    config.max_batch = 4;
+    config.max_preemptions = 1;
+    const std::vector<workload::TimedRequest> stream = {
+        timed(0, 0.0, 240, 33, 0, 1000.0), timed(1, 0.0, 240, 33, 0, 1000.0),
+        timed(2, 0.5, 48, 17, 1, 6.0),     timed(3, 0.5, 48, 17, 1, 6.1),
+        timed(4, 3.5, 656, 17, 1, 30.0),   timed(5, 3.5, 48, 17, 1, 60.0)};
+
+    auto serve = [&](const ServingSpec &served) {
+        auto server = Server::create(served, config);
+        EXPECT_TRUE(server.is_ok()) << server.status().to_string();
+        EXPECT_TRUE(server->submit(stream).is_ok());
+        auto report = server->serve();
+        EXPECT_TRUE(report.is_ok()) << report.status().to_string();
+        return std::move(report).value();
+    };
+    const ServingReport report = serve(spec);
+    ASSERT_EQ(report.completed, stream.size());
+    std::vector<const RequestMetrics *> by_id(stream.size());
+    for (const auto &r : report.requests)
+        by_id[r.id] = &r;
+    auto start = [](const RequestMetrics *r) {
+        return r->arrival + r->queueing_delay;
+    };
+    auto end = [](const RequestMetrics *r) {
+        return r->arrival + r->e2e_latency;
+    };
+
+    // Skip-and-continue: the later-deadline short job overtakes the
+    // long one that does not fit.
+    EXPECT_LT(by_id[4]->deadline, by_id[5]->deadline);
+    EXPECT_LT(by_id[5]->batch_index, by_id[4]->batch_index);
+    EXPECT_LT(start(by_id[5]), start(by_id[4]));
+
+    // Pinned: job 1 was preempted once, resumed, and then kept its slot
+    // against the earlier-deadline job 4 until it completed.
+    EXPECT_EQ(by_id[1]->preemptions, 1u);
+    EXPECT_EQ(by_id[0]->preemptions, 0u);
+    EXPECT_EQ(report.preemptions, 1u);
+    ASSERT_EQ(report.kv_swap_events.size(), 2u);
+    EXPECT_EQ(report.kv_swap_events[0].request_id, 1u);
+    EXPECT_TRUE(report.kv_swap_events[0].demote);
+    EXPECT_EQ(report.kv_swap_events[1].request_id, 1u);
+    EXPECT_FALSE(report.kv_swap_events[1].demote);
+    EXPECT_LT(report.kv_swap_events[1].end, by_id[4]->arrival);
+    EXPECT_DOUBLE_EQ(start(by_id[4]), end(by_id[1]));
+
+    // The greedy fill stops early, yet admits exactly what a scan of
+    // every candidate did: the prefill iteration of every job as the
+    // full scan scheduled it.
+    const std::uint64_t full_scan_prefill[] = {0, 0, 4, 4, 51, 25};
+    for (std::uint64_t id = 0; id < stream.size(); ++id)
+        EXPECT_EQ(by_id[id]->batch_index, full_scan_prefill[id])
+            << "job " << id;
+    EXPECT_EQ(report.iterations, 68u);
+
+    // Without the capacity bound the long job is not held back.
+    ServingSpec unbounded = small_spec();
+    unbounded.kv_cache = kvcache::KvCacheConfig::tiered();
+    const ServingReport free_report = serve(unbounded);
+    for (const auto &r : free_report.requests)
+        by_id[r.id] = &r;
+    EXPECT_LE(by_id[4]->batch_index, by_id[5]->batch_index);
 }
 
 TEST(Edf, AdversarialTenantMixStarvesTheDeadlineLessTenant)

@@ -291,6 +291,30 @@ TEST(Cli, ExplicitFcfsSchedulerFlagIsByteIdenticalToDefault)
     EXPECT_EQ(plain.output.find("scheduler:"), std::string::npos);
 }
 
+TEST(Cli, VariableLengthFcfsServeFormsBatchesThatFitHbm)
+{
+    // Sampled prompts run past the template shape the batch ceiling
+    // was sized at; a batch of long prompts must stop growing at the
+    // engine's zero-resident-weight HBM floor instead of aborting the
+    // whole serve with CAPACITY_EXCEEDED.
+    const CliResult result = run_cli(
+        "serve --model OPT-30B --memory NVDRAM --placement All-CPU "
+        "--int4 --rate 2 --duration 600 --seed 7 --variable-lengths");
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    const std::size_t line = result.output.find("requests:");
+    ASSERT_NE(line, std::string::npos) << result.output;
+    unsigned long long completed = 0, rejected = 0, submitted = 0;
+    ASSERT_EQ(std::sscanf(result.output.c_str() + line,
+                          "requests: %llu completed / %llu rejected of "
+                          "%llu submitted",
+                          &completed, &rejected, &submitted),
+              3)
+        << result.output;
+    EXPECT_GT(submitted, 1000u);
+    EXPECT_EQ(completed + rejected, submitted);
+    EXPECT_EQ(completed, submitted);
+}
+
 TEST(Cli, EdfServePrintsSchedulerAndSwapSections)
 {
     const CliResult result = run_cli_stdout(

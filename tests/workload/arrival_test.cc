@@ -68,8 +68,9 @@ TEST(Arrival, TimesOrderedInsideHorizonIdsSequential)
         EXPECT_EQ(timed.request.id, i);
         EXPECT_GE(timed.arrival, 0.0);
         EXPECT_LT(timed.arrival, spec.duration);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(timed.arrival, (*stream)[i - 1].arrival);
+        }
         EXPECT_EQ(timed.request.prompt_tokens, spec.prompt_tokens);
         EXPECT_EQ(timed.request.output_tokens, spec.output_tokens);
     }
@@ -273,8 +274,9 @@ TEST(Arrival, MergeOrdersByTimeAndReassignsIds)
     std::size_t urgent_seen = 0;
     for (std::size_t i = 0; i < merged.size(); ++i) {
         EXPECT_EQ(merged[i].request.id, i); // ids follow merged order
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(merged[i].arrival, merged[i - 1].arrival);
+        }
         if (merged[i].request.tenant == 1) {
             ++urgent_seen;
             EXPECT_GT(merged[i].deadline, merged[i].arrival);
