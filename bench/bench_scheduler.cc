@@ -70,7 +70,7 @@ serve_or_die(const runtime::ServingSpec &spec,
 }
 
 /** Full textual image of a report: any behavioral divergence between
- *  the legacy and unified FCFS entry points becomes a byte diff. */
+ *  the two FCFS backends becomes a byte diff. */
 std::string
 report_text(const runtime::ServingReport &report)
 {

@@ -31,16 +31,17 @@ main()
     // 2. Scheduler and SLO: form FCFS batches of up to 8 requests,
     //    waiting at most 2 s for batch-mates; a request counts toward
     //    goodput if its first token lands within 60 s.
-    runtime::SchedulerPolicy policy;
-    policy.max_batch = 8;
-    policy.max_queue_delay = 2.0;
-    runtime::SloSpec slo;
-    slo.ttft_target = 60.0;
+    runtime::ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = 8;
+    config.max_queue_delay = 2.0;
+    config.enforce_ttft = true;
+    config.ttft_target = 60.0;
 
     // 3. Build the server (validates the whole spec up front) and
     //    submit a Poisson arrival stream: 1 request/s for a minute of
     //    the paper's 128-in / 21-out requests.
-    auto server = runtime::Server::create(spec, policy, slo);
+    auto server = runtime::Server::create(spec, config);
     if (!server.is_ok()) {
         std::cerr << "invalid spec: " << server.status().to_string()
                   << "\n";
@@ -52,7 +53,7 @@ main()
     server->submit(*workload::generate_arrivals(arrivals));
 
     // 4. Serve the stream to completion.
-    const auto report = server->run();
+    const auto report = server->serve();
     if (!report.is_ok()) {
         std::cerr << "serving failed: " << report.status().to_string()
                   << "\n";
@@ -81,7 +82,7 @@ main()
               << "\n";
     std::cout << "goodput:       " << format_fixed(report->goodput, 2)
               << " tokens/s under the "
-              << format_seconds(slo.ttft_target) << " TTFT SLO ("
+              << format_seconds(config.ttft_target) << " TTFT SLO ("
               << format_fixed(100.0 * report->slo_attainment, 1)
               << " % met)\n";
     return 0;

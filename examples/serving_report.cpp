@@ -82,18 +82,19 @@ main(int argc, char **argv)
     // ---- Per-request SLO metrics ------------------------------------------
     // The same configuration behind the request-level Server: a Poisson
     // stream at 0.5 req/s for two minutes, FCFS batching up to `batch`.
-    runtime::SchedulerPolicy policy;
-    policy.max_batch = batch;
-    policy.max_queue_delay = 2.0;
-    runtime::SloSpec slo;
-    slo.ttft_target = 120.0;
-    auto server = runtime::Server::create(spec, policy, slo);
+    runtime::ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = batch;
+    config.max_queue_delay = 2.0;
+    config.enforce_ttft = true;
+    config.ttft_target = 120.0;
+    auto server = runtime::Server::create(spec, config);
     if (server.is_ok()) {
         workload::ArrivalSpec arrivals;
         arrivals.rate = 0.5;
         arrivals.duration = 120.0;
         server->submit(*workload::generate_arrivals(arrivals));
-        const auto report = server->run();
+        const auto report = server->serve();
         if (report.is_ok()) {
             std::cout << "\n";
             AsciiTable per_request(
@@ -118,7 +119,7 @@ main(int argc, char **argv)
             per_request.print(std::cout);
             std::cout << "goodput: " << format_fixed(report->goodput, 2)
                       << " tokens/s under a "
-                      << format_seconds(slo.ttft_target)
+                      << format_seconds(config.ttft_target)
                       << " TTFT SLO ("
                       << format_fixed(100.0 * report->slo_attainment, 1)
                       << " % of " << report->completed

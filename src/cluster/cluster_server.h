@@ -22,15 +22,12 @@
 #define HELM_CLUSTER_CLUSTER_SERVER_H
 
 #include <cstdint>
-#include <limits>
-#include <map>
-#include <memory>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/status.h"
+#include "runtime/admission.h"
 #include "runtime/backend.h"
 #include "runtime/scheduler.h"
 #include "telemetry/attribution.h"
@@ -42,10 +39,10 @@ class ClusterServer : public runtime::ServingBackend
 {
   public:
     /**
-     * Validate the spec, size the batch ceiling (an auto ceiling sizes
-     * against the *shard* geometry — tensor shards hold 1/N of the KV
-     * heads, pipeline stages the weakest stage), and derive the
-     * managed-KV admission bound.
+     * Validate the spec and size admission (runtime::AdmissionGeometry)
+     * against the *shard* geometry: tensor shards hold 1/N of the KV
+     * heads, pipeline stages bound it by the weakest stage, replicas
+     * by the full model.
      */
     static Result<ClusterServer> create(ClusterSpec spec);
 
@@ -53,7 +50,13 @@ class ClusterServer : public runtime::ServingBackend
 
     /** Queue one request (deadline rides along to the delegated
      *  single-GPU EDF scheduler). */
-    Status submit(const workload::TimedRequest &timed) override;
+    Status
+    submit(const workload::TimedRequest &timed) override
+    {
+        HELM_RETURN_IF_ERROR(runtime::validate_timed_request(timed));
+        pending_.push_back(timed);
+        return Status::ok();
+    }
 
     /** Serve every submitted request to completion; the cluster-only
      *  extras (per-GPU utilization, port stats) of the underlying run
@@ -90,12 +93,14 @@ class ClusterServer : public runtime::ServingBackend
     /** The per-batch ceiling in force. */
     std::uint64_t effective_max_batch() const override
     {
-        return max_batch_;
+        return single_ ? single_->effective_max_batch()
+                       : admission_.max_batch();
     }
     /** Managed-KV admission slots (0 = unmanaged/unbounded). */
     std::uint64_t kv_request_slots() const override
     {
-        return kv_request_slots_;
+        return single_ ? single_->kv_request_slots()
+                       : admission_.kv_request_slots();
     }
 
     /** Shared host read-port rate of the last run (delegation: the
@@ -119,21 +124,25 @@ class ClusterServer : public runtime::ServingBackend
         return spec_.serving;
     }
     /** The scheduler configuration in force. */
-    const runtime::ServingConfig &config() const { return config_; }
+    const runtime::ServingConfig &config() const { return spec_.config; }
 
   private:
-    explicit ClusterServer(ClusterSpec spec) : spec_(std::move(spec)) {}
+    ClusterServer(ClusterSpec spec, runtime::AdmissionGeometry admission)
+        : spec_(std::move(spec)), admission_(std::move(admission))
+    {}
 
-    Result<ClusterReport> run_replica_cluster(bool keep_records);
-    Result<ClusterReport> run_sharded(bool keep_records);
+    /** The multi-GPU runs: serve the arrival-sorted, non-empty
+     *  pending_ into @p out. */
+    Status run_replica_cluster(ClusterReport &out, bool keep_records);
+    Status run_sharded(ClusterReport &out, bool keep_records);
 
     ClusterSpec spec_;
-    runtime::ServingConfig config_;
-    std::uint64_t max_batch_ = 1;
-    std::uint64_t kv_block_tokens_ = 0;
-    std::uint64_t kv_capacity_blocks_ =
-        std::numeric_limits<std::uint64_t>::max();
-    std::uint64_t kv_request_slots_ = 0;
+    /** Multi-GPU admission (unused when delegating to single_); lives
+     *  as long as the server so repeated serve() calls reuse its
+     *  per-shape HBM memo. */
+    runtime::AdmissionGeometry admission_;
+    /** One shard per GPU (multi-GPU modes). */
+    std::vector<runtime::ShardOptions> plan_;
     /** N=1 replica delegation target. */
     std::optional<runtime::Server> single_;
     std::vector<workload::TimedRequest> pending_;

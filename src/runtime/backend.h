@@ -8,9 +8,10 @@
  * helmsim's serve and cluster subcommands, and every serving bench,
  * duplicated the call sites.  This interface extracts the common
  * shape so callers hold a `ServingBackend &` and stop caring which
- * implementation sits behind it; the concrete classes keep their
- * historical entry points (`Server::run`, `ClusterServer::run`) as
- * thin delegating shims around it.
+ * implementation sits behind it.  Both size admission and form FCFS
+ * batches through runtime/admission.h, so effective_max_batch() and
+ * kv_request_slots() mean the same on either; `ClusterServer::run()`
+ * additionally returns the cluster extras (per-GPU and port stats).
  */
 #ifndef HELM_RUNTIME_BACKEND_H
 #define HELM_RUNTIME_BACKEND_H

@@ -121,11 +121,7 @@ struct Candidate
 Result<ServingReport>
 Server::run_continuous()
 {
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [](const workload::TimedRequest &a,
-                        const workload::TimedRequest &b) {
-                         return a.arrival < b.arrival;
-                     });
+    sort_by_arrival(pending_);
 
     ServingReport report;
     report.scheduler = config_.scheduler;
@@ -187,23 +183,14 @@ Server::run_continuous()
                          pending_[s].request.id, s};
     };
 
-    // ---- KV admission geometry (mirrors the FCFS bound) ----------------
-    const bool kv_bounded =
-        kv_block_tokens_ > 0 &&
-        kv_capacity_blocks_ != std::numeric_limits<std::uint64_t>::max();
-    auto padded_blocks = [this](std::uint64_t count, std::uint64_t context) {
-        const std::uint64_t blocks =
-            (context + kv_block_tokens_ - 1) / kv_block_tokens_;
-        return count * blocks * base_.micro_batches;
-    };
+    // ---- KV admission geometry (the FCFS bound) -------------------------
     auto full_context = [this](std::size_t s) {
         const workload::Request &r = pending_[s].request;
         return r.prompt_tokens + r.output_tokens;
     };
     auto fits = [&](std::uint64_t count, std::uint64_t ctx) {
-        return count <= max_batch_ &&
-               (!kv_bounded ||
-                padded_blocks(count, ctx) <= kv_capacity_blocks_);
+        return count <= admission_.max_batch() &&
+               admission_.kv_fits(count, ctx);
     };
 
     // ---- Arrival admission ---------------------------------------------
@@ -215,9 +202,8 @@ Server::run_continuous()
             if (waiting_count >= config_.max_queue_length) {
                 report.rejected_ids.push_back(rq.id);
                 ++tenants[rq.tenant].rejected;
-            } else if (kv_bounded &&
-                       padded_blocks(1, full_context(next_arrival)) >
-                           kv_capacity_blocks_) {
+            } else if (!admission_.kv_fits(1,
+                                           full_context(next_arrival))) {
                 // Can never fit the managed tiers, alone or otherwise.
                 report.rejected_ids.push_back(rq.id);
                 ++report.kv_rejected;
@@ -236,8 +222,9 @@ Server::run_continuous()
     };
 
     // ---- Iteration cost probes (memoized through probe_time) -----------
-    const std::uint64_t bucket_grain =
-        kv_block_tokens_ > 0 ? kv_block_tokens_ : 16;
+    const std::uint64_t bucket_grain = admission_.kv_block_tokens() > 0
+                                           ? admission_.kv_block_tokens()
+                                           : 16;
     auto bucketed = [&](std::uint64_t tokens) {
         return ((tokens + bucket_grain - 1) / bucket_grain) * bucket_grain;
     };
@@ -323,7 +310,7 @@ Server::run_continuous()
                       });
             auto next = candidates.begin();
             std::size_t next_running = 0;
-            while (chosen.size() < max_batch_) {
+            while (chosen.size() < admission_.max_batch()) {
                 std::size_t s;
                 if (next_running < by_key.size() &&
                     (next == candidates.end() ||
@@ -648,40 +635,9 @@ Server::run_continuous()
     }
     pending_.clear();
 
-    // ---- Aggregates (mirrors the FCFS accounting) -----------------------
-    report.completed = report.requests.size();
-    report.rejected = report.rejected_ids.size();
+    // ---- Aggregates (the FCFS accounting) -------------------------------
     report.batches_formed = report.iterations;
-    report.mean_batch_size =
-        report.iterations > 0
-            ? static_cast<double>(member_iterations) /
-                  static_cast<double>(report.iterations)
-            : 0.0;
-    Seconds earliest = kInf;
-    for (const auto &r : report.requests)
-        earliest = std::min(earliest, r.arrival);
-    report.makespan =
-        report.requests.empty() ? 0.0 : last_completion - earliest;
-    std::uint64_t slo_tokens = 0;
-    std::uint64_t slo_met_count = 0;
-    for (const auto &r : report.requests) {
-        report.total_tokens += r.output_tokens;
-        if (r.slo_met) {
-            slo_tokens += r.output_tokens;
-            ++slo_met_count;
-        }
-    }
-    if (report.makespan > 0.0) {
-        report.throughput =
-            static_cast<double>(report.total_tokens) / report.makespan;
-        report.goodput =
-            static_cast<double>(slo_tokens) / report.makespan;
-    }
-    report.slo_attainment =
-        report.completed > 0
-            ? static_cast<double>(slo_met_count) /
-                  static_cast<double>(report.completed)
-            : 0.0;
+    finalize_report(report, last_completion, member_iterations);
 
     // Jain fairness over per-tenant generated tokens.
     double sum = 0.0, sum_sq = 0.0;

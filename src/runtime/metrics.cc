@@ -2,6 +2,49 @@
 
 namespace helm::runtime {
 
+namespace {
+
+std::vector<double>
+collect(const std::vector<RequestMetrics> &requests,
+        Seconds RequestMetrics::*field)
+{
+    std::vector<double> values;
+    values.reserve(requests.size());
+    for (const auto &r : requests)
+        values.push_back(r.*field);
+    return values;
+}
+
+} // namespace
+
+Seconds
+ServingReport::queueing_delay_percentile(double p) const
+{
+    return percentile_nearest_rank(
+        collect(requests, &RequestMetrics::queueing_delay), p);
+}
+
+Seconds
+ServingReport::ttft_percentile(double p) const
+{
+    return percentile_nearest_rank(collect(requests, &RequestMetrics::ttft),
+                                   p);
+}
+
+Seconds
+ServingReport::tbt_percentile(double p) const
+{
+    return percentile_nearest_rank(collect(requests, &RequestMetrics::tbt),
+                                   p);
+}
+
+Seconds
+ServingReport::e2e_percentile(double p) const
+{
+    return percentile_nearest_rank(
+        collect(requests, &RequestMetrics::e2e_latency), p);
+}
+
 OverlapSummary
 summarize_overlap(const std::vector<LayerStepRecord> &records,
                   gpu::Stage stage, std::uint64_t skip_batches)

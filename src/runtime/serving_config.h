@@ -3,15 +3,11 @@
  * The unified serving configuration: one struct for everything the
  * request-level schedulers consume.
  *
- * PR 1 grew the scheduler knobs in two structs (`SchedulerPolicy`,
- * `SloSpec`) with 0-means-auto tri-states; the continuous-batching
- * scheduler adds tenant, deadline, and preemption knobs on top.
- * `ServingConfig` folds all of them into one value with explicit
- * `auto_*` booleans, and its validate() names the offending helmsim
+ * Batching, SLO, tenant, deadline and preemption knobs live in one
+ * value with explicit `auto_*`/`enforce_*` booleans instead of
+ * 0-means-auto tri-states, and validate() names the offending helmsim
  * flag in every error so a CLI user, a bench, and a library caller all
- * read the same diagnosis.  The old structs survive as deprecated
- * shims for one release: `Server::create(spec, policy, slo)` converts
- * through `ServingConfig::from_legacy`.
+ * read the same diagnosis.
  */
 #ifndef HELM_RUNTIME_SERVING_CONFIG_H
 #define HELM_RUNTIME_SERVING_CONFIG_H
@@ -53,12 +49,6 @@ const char *scheduler_kind_name(SchedulerKind kind);
 
 /** Parse a scheduler name as the CLI spells it. */
 Result<SchedulerKind> parse_scheduler_kind(const std::string &name);
-
-// Forward declarations of the deprecated PR 1 knob structs
-// (runtime/scheduler.h); kept so from_legacy can convert without a
-// header cycle.
-struct SchedulerPolicy;
-struct SloSpec;
 
 /**
  * Everything the serving schedulers consume, in one place.
@@ -113,11 +103,6 @@ struct ServingConfig
      * sets the field, e.g. "(--max-preemptions)".
      */
     Status validate() const;
-
-    /** Convert the deprecated PR 1 knobs (policy.max_batch == 0 maps
-     *  to auto_max_batch, slo targets > 0 map to enforce_*). */
-    static ServingConfig from_legacy(const SchedulerPolicy &policy,
-                                     const SloSpec &slo);
 };
 
 } // namespace helm::runtime

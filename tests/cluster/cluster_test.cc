@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "cluster/cluster_engine.h"
@@ -16,6 +17,8 @@
 #include "cluster/router.h"
 #include "model/opt.h"
 #include "runtime/engine.h"
+#include "runtime/schedule.h"
+#include "workload/arrival.h"
 
 namespace helm::cluster {
 namespace {
@@ -125,26 +128,6 @@ TEST(ClusterSpecTest, IterationSchedulersNeedTheSingleGpuPath)
     ClusterSpec fcfs = cluster_spec(4, Parallelism::kTensor);
     fcfs.config = runtime::ServingConfig{};
     EXPECT_TRUE(fcfs.validate().is_ok());
-}
-
-TEST(ClusterSpecTest, EffectiveConfigFallsBackToLegacyKnobs)
-{
-    ClusterSpec spec = cluster_spec(2, Parallelism::kReplica);
-    spec.policy.max_batch = 6;
-    spec.slo.ttft_target = 3.0;
-    const runtime::ServingConfig fallback = spec.effective_config();
-    EXPECT_EQ(fallback.scheduler, runtime::SchedulerKind::kFcfs);
-    EXPECT_FALSE(fallback.auto_max_batch);
-    EXPECT_EQ(fallback.max_batch, 6u);
-    EXPECT_TRUE(fallback.enforce_ttft);
-    EXPECT_DOUBLE_EQ(fallback.ttft_target, 3.0);
-
-    runtime::ServingConfig explicit_config;
-    explicit_config.scheduler = runtime::SchedulerKind::kContinuous;
-    spec.gpus = 1;
-    spec.config = explicit_config;
-    EXPECT_EQ(spec.effective_config().scheduler,
-              runtime::SchedulerKind::kContinuous);
 }
 
 TEST(ClusterDegeneracy, EdfClusterMatchesServerThroughTheBackendSeam)
@@ -327,7 +310,7 @@ TEST(ClusterDegeneracy, ServerDelegationIsFieldExact)
     auto server = runtime::Server::create(small_spec());
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(12, 0.0)).is_ok());
-    auto want = server->run();
+    auto want = server->serve();
     ASSERT_TRUE(want.is_ok());
 
     auto cluster =
@@ -518,6 +501,192 @@ TEST(ClusterServing, ShardedServingReportsRequests)
     ASSERT_EQ(report->gpus.size(), 2u);
     EXPECT_GT(report->gpus[0].utilization, 0.0);
     ASSERT_FALSE(report->ports.empty());
+}
+
+/** OPT-30B int4, All-CPU on NVDRAM: the paper's throughput setup. */
+ClusterSpec
+opt30b_cluster(Parallelism mode)
+{
+    ClusterSpec spec;
+    spec.serving.model = model::opt_config(OptVariant::kOpt30B);
+    spec.serving.memory = mem::ConfigKind::kNvdram;
+    spec.serving.placement = placement::PlacementKind::kAllCpu;
+    spec.serving.compress_weights = true;
+    spec.gpus = 2;
+    spec.parallelism = mode;
+    return spec;
+}
+
+/** The GPU slices @p spec's batches compile on, one per GPU. */
+std::vector<runtime::ShardOptions>
+gpu_slices(const ClusterSpec &spec)
+{
+    std::vector<runtime::ShardOptions> slices(spec.gpus);
+    if (spec.parallelism != Parallelism::kPipeline)
+        return slices; // replicas run the whole model
+    const auto ranges = partition_layers(
+        model::build_layers(spec.serving.model,
+                            model::DataType::kInt4Grouped),
+        spec.gpus);
+    EXPECT_TRUE(ranges.is_ok());
+    for (std::uint64_t g = 0; g < spec.gpus; ++g) {
+        slices[g].kind = runtime::ShardOptions::Kind::kPipeline;
+        slices[g].count = spec.gpus;
+        slices[g].index = g;
+        slices[g].layer_begin = (*ranges)[g].first;
+        slices[g].layer_end = (*ranges)[g].second;
+    }
+    return slices;
+}
+
+/** Whether @p batch requests of (@p prompt, @p output) compile on
+ *  every GPU slice of @p spec. */
+bool
+compiles_everywhere(const ClusterSpec &spec, std::uint64_t batch,
+                    std::uint64_t prompt, std::uint64_t output)
+{
+    runtime::ServingSpec serving = spec.serving;
+    serving.batch = batch;
+    serving.shape.prompt_tokens = prompt;
+    serving.shape.output_tokens = output;
+    for (const runtime::ShardOptions &slice : gpu_slices(spec)) {
+        if (!runtime::compile_schedule(serving, slice).is_ok())
+            return false;
+    }
+    return true;
+}
+
+TEST(ClusterServing, MultiGpuFcfsBoundsVariableLengthsByHbm)
+{
+    // C4-like prompt lengths at a high rate: the longest prompts do
+    // not fit HBM even alone, and long ones cap how many batch-mates
+    // fit.  Every shard must only ever see batches it can compile.
+    workload::ArrivalSpec arrivals;
+    arrivals.rate = 4.0;
+    arrivals.duration = 600.0;
+    arrivals.seed = 7;
+    arrivals.variable_lengths = true;
+    const auto stream = workload::generate_arrivals(arrivals);
+    ASSERT_TRUE(stream.is_ok());
+
+    for (Parallelism mode :
+         {Parallelism::kReplica, Parallelism::kPipeline}) {
+        SCOPED_TRACE(parallelism_name(mode));
+        ClusterSpec spec = opt30b_cluster(mode);
+        // No queue shedding, so every request either completes or is
+        // shed by admission.
+        spec.config.max_queue_length = 1u << 20;
+        auto cluster = ClusterServer::create(spec);
+        ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+        ASSERT_TRUE(cluster->submit(*stream).is_ok());
+        const auto report = cluster->serve();
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+
+        // A request is shed by the HBM bound iff it fits no batch on
+        // its own.  Fit is monotone in the shape, so when the largest
+        // prompt and output fit together, every request fits alone.
+        std::uint64_t max_prompt = 0, max_output = 0;
+        for (const workload::TimedRequest &timed : *stream) {
+            max_prompt = std::max(max_prompt, timed.request.prompt_tokens);
+            max_output = std::max(max_output, timed.request.output_tokens);
+        }
+        std::uint64_t alone_misfits = 0;
+        if (!compiles_everywhere(spec, 1, max_prompt, max_output)) {
+            for (const workload::TimedRequest &timed : *stream) {
+                alone_misfits += compiles_everywhere(
+                                     spec, 1, timed.request.prompt_tokens,
+                                     timed.request.output_tokens)
+                                     ? 0
+                                     : 1;
+            }
+        }
+        EXPECT_EQ(report->hbm_rejected, alone_misfits);
+        EXPECT_EQ(report->rejected, report->hbm_rejected);
+        EXPECT_EQ(report->completed + report->rejected, stream->size());
+
+        // The largest batch the bound admitted compiles on every shard.
+        std::map<std::uint64_t, std::vector<runtime::RequestMetrics>>
+            batches;
+        for (const runtime::RequestMetrics &r : report->requests)
+            batches[r.batch_index].push_back(r);
+        std::uint64_t size = 0, prompt = 0, output = 0;
+        for (const auto &[index, members] : batches) {
+            if (members.size() <= size)
+                continue;
+            size = members.size();
+            prompt = output = 0;
+            for (const runtime::RequestMetrics &r : members) {
+                prompt = std::max(prompt, r.prompt_tokens);
+                output = std::max(output, r.output_tokens);
+            }
+        }
+        EXPECT_GT(size, 1u);
+        EXPECT_TRUE(compiles_everywhere(spec, size, prompt, output));
+    }
+}
+
+TEST(ClusterServing, MultiGpuFcfsKeepsTenantAndDeadline)
+{
+    workload::ArrivalSpec arrivals;
+    arrivals.rate = 1.0;
+    arrivals.duration = 60.0;
+    arrivals.seed = 3;
+    arrivals.tenants = 2;
+    arrivals.deadline = 5.0;
+    const auto stream = workload::generate_arrivals(arrivals);
+    ASSERT_TRUE(stream.is_ok());
+    std::map<std::uint64_t, workload::TimedRequest> submitted;
+    for (const workload::TimedRequest &timed : *stream)
+        submitted[timed.request.id] = timed;
+
+    for (Parallelism mode :
+         {Parallelism::kReplica, Parallelism::kPipeline}) {
+        SCOPED_TRACE(parallelism_name(mode));
+        auto cluster = ClusterServer::create(opt30b_cluster(mode));
+        ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+        ASSERT_TRUE(cluster->submit(*stream).is_ok());
+        const auto report = cluster->serve();
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+        ASSERT_EQ(report->completed, stream->size());
+
+        std::uint64_t tenant_one = 0, missed = 0;
+        for (const runtime::RequestMetrics &r : report->requests) {
+            const workload::TimedRequest &timed = submitted.at(r.id);
+            EXPECT_EQ(r.tenant, timed.request.tenant);
+            EXPECT_EQ(r.deadline, timed.deadline);
+            EXPECT_EQ(r.deadline_met,
+                      r.deadline == 0.0 ||
+                          r.arrival + r.e2e_latency <= r.deadline);
+            tenant_one += r.tenant == 1 ? 1 : 0;
+            missed += r.deadline_met ? 0 : 1;
+        }
+        EXPECT_GT(tenant_one, 0u);
+        EXPECT_GT(missed, 0u);
+    }
+}
+
+TEST(ClusterServing, EverythingShedLeavesAnEmptyMakespan)
+{
+    // Three prompts no GPU slice can hold even alone.
+    std::vector<workload::TimedRequest> stream;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        stream.push_back(workload::TimedRequest{
+            workload::Request{i, 400000, 21}, 5.0 + static_cast<double>(i)});
+    }
+    for (Parallelism mode :
+         {Parallelism::kReplica, Parallelism::kPipeline}) {
+        SCOPED_TRACE(parallelism_name(mode));
+        auto cluster = ClusterServer::create(opt30b_cluster(mode));
+        ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+        cluster->enable_telemetry(false);
+        ASSERT_TRUE(cluster->submit(stream).is_ok());
+        const auto report = cluster->serve();
+        ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+        EXPECT_EQ(report->hbm_rejected, 3u);
+        EXPECT_EQ(report->completed, 0u);
+        EXPECT_EQ(report->makespan, 0.0);
+        EXPECT_EQ(cluster->attribution().wall(), 0.0);
+    }
 }
 
 } // namespace

@@ -392,51 +392,6 @@ TEST(Edf, AdversarialTenantMixStarvesTheDeadlineLessTenant)
     EXPECT_GE(rr_report.jain_fairness, edf_report.jain_fairness);
 }
 
-TEST(UnifiedConfig, FcfsPathIsFieldExactWithLegacyCreate)
-{
-    workload::ArrivalSpec arrivals;
-    arrivals.rate = 3.0;
-    arrivals.duration = 8.0;
-    arrivals.seed = 7;
-    const auto stream = workload::generate_arrivals(arrivals);
-    ASSERT_TRUE(stream.is_ok());
-
-    SchedulerPolicy policy;
-    policy.max_queue_delay = 0.25;
-    SloSpec slo;
-    slo.ttft_target = 10.0;
-    auto legacy = Server::create(small_spec(), policy, slo);
-    ASSERT_TRUE(legacy.is_ok());
-    ASSERT_TRUE(legacy->submit(*stream).is_ok());
-    const auto legacy_report = legacy->run();
-    ASSERT_TRUE(legacy_report.is_ok());
-
-    const auto unified_report = serve_stream(
-        ServingConfig::from_legacy(policy, slo), *stream);
-
-    EXPECT_EQ(unified_report.scheduler, SchedulerKind::kFcfs);
-    EXPECT_EQ(unified_report.completed, legacy_report->completed);
-    EXPECT_EQ(unified_report.batches_formed,
-              legacy_report->batches_formed);
-    EXPECT_EQ(unified_report.total_tokens, legacy_report->total_tokens);
-    EXPECT_DOUBLE_EQ(unified_report.goodput, legacy_report->goodput);
-    EXPECT_DOUBLE_EQ(unified_report.makespan, legacy_report->makespan);
-    ASSERT_EQ(unified_report.requests.size(),
-              legacy_report->requests.size());
-    for (std::size_t i = 0; i < unified_report.requests.size(); ++i) {
-        const auto &a = unified_report.requests[i];
-        const auto &b = legacy_report->requests[i];
-        EXPECT_EQ(a.id, b.id);
-        EXPECT_DOUBLE_EQ(a.queueing_delay, b.queueing_delay);
-        EXPECT_DOUBLE_EQ(a.ttft, b.ttft);
-        EXPECT_DOUBLE_EQ(a.e2e_latency, b.e2e_latency);
-        EXPECT_EQ(a.slo_met, b.slo_met);
-    }
-    // FCFS reports carry none of the continuous/EDF extensions.
-    EXPECT_EQ(unified_report.iterations, 0u);
-    EXPECT_TRUE(unified_report.tenants.empty());
-}
-
 TEST(ServingConfigValidate, EveryErrorNamesItsHelmsimFlag)
 {
     const auto message = [](ServingConfig config) {

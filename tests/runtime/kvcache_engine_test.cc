@@ -263,7 +263,7 @@ TEST(KvCacheScheduler, ShedsRequestsThatCanNeverFit)
         ASSERT_TRUE(
             server->submit(workload::Request{id, 128, 21}, 0.0).is_ok());
     }
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok()) << report.status().to_string();
     EXPECT_EQ(report->completed, 3u);
     EXPECT_EQ(report->rejected, 1u);

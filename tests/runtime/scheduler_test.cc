@@ -37,6 +37,16 @@ burst(std::uint64_t n, Seconds arrival, std::uint64_t first_id = 0)
     return stream;
 }
 
+/** An fcfs config with an explicit batch ceiling. */
+ServingConfig
+fixed_batch(std::uint64_t max_batch)
+{
+    ServingConfig config;
+    config.auto_max_batch = false;
+    config.max_batch = max_batch;
+    return config;
+}
+
 TEST(Scheduler, CreateValidatesSpecAndPolicy)
 {
     ServingSpec bad = small_spec();
@@ -44,12 +54,12 @@ TEST(Scheduler, CreateValidatesSpecAndPolicy)
     EXPECT_EQ(Server::create(bad).status().code(),
               StatusCode::kInvalidArgument);
 
-    SchedulerPolicy no_queue;
+    ServingConfig no_queue;
     no_queue.max_queue_length = 0;
     EXPECT_EQ(Server::create(small_spec(), no_queue).status().code(),
               StatusCode::kInvalidArgument);
 
-    SchedulerPolicy negative_delay;
+    ServingConfig negative_delay;
     negative_delay.max_queue_delay = -0.1;
     EXPECT_EQ(
         Server::create(small_spec(), negative_delay).status().code(),
@@ -77,7 +87,7 @@ TEST(Scheduler, EmptyRunYieldsEmptyReport)
 {
     auto server = Server::create(small_spec());
     ASSERT_TRUE(server.is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     EXPECT_EQ(report->submitted, 0u);
     EXPECT_EQ(report->completed, 0u);
@@ -86,13 +96,12 @@ TEST(Scheduler, EmptyRunYieldsEmptyReport)
 
 TEST(Scheduler, FcfsOrderingAndGreedyBatching)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
+    ServingConfig policy = fixed_batch(4);
     policy.max_queue_delay = 0.0; // greedy dispatch
     auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(8, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok()) << report.status().to_string();
 
     ASSERT_EQ(report->completed, 8u);
@@ -114,26 +123,24 @@ TEST(Scheduler, MaxQueueDelayHonored)
 {
     // A lone request with batch-mates that never come: the scheduler
     // must give up waiting exactly at max_queue_delay.
-    SchedulerPolicy policy;
-    policy.max_batch = 8;
+    ServingConfig policy = fixed_batch(8);
     policy.max_queue_delay = 0.3;
     auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     ASSERT_EQ(report->completed, 1u);
     EXPECT_NEAR(report->requests[0].queueing_delay, 0.3, 1e-12);
 
     // Greedy mode: no waiting at all.
-    SchedulerPolicy greedy;
-    greedy.max_batch = 8;
+    ServingConfig greedy = fixed_batch(8);
     greedy.max_queue_delay = 0.0;
     auto greedy_server = Server::create(small_spec(), greedy);
     ASSERT_TRUE(greedy_server.is_ok());
     ASSERT_TRUE(
         greedy_server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
-    const auto greedy_report = greedy_server->run();
+    const auto greedy_report = greedy_server->serve();
     ASSERT_TRUE(greedy_report.is_ok());
     EXPECT_DOUBLE_EQ(greedy_report->requests[0].queueing_delay, 0.0);
 }
@@ -142,14 +149,13 @@ TEST(Scheduler, BatchLaunchesEarlyOnceFull)
 {
     // Two requests 0.1 s apart with a generous delay budget: the batch
     // fills at 0.1 s and must launch then, not at the deadline.
-    SchedulerPolicy policy;
-    policy.max_batch = 2;
+    ServingConfig policy = fixed_batch(2);
     policy.max_queue_delay = 5.0;
     auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(workload::Request{0, 128, 21}, 0.0).is_ok());
     ASSERT_TRUE(server->submit(workload::Request{1, 128, 21}, 0.1).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     ASSERT_EQ(report->completed, 2u);
     EXPECT_EQ(report->batches_formed, 1u);
@@ -159,14 +165,13 @@ TEST(Scheduler, BatchLaunchesEarlyOnceFull)
 
 TEST(Scheduler, QueueCapShedsLoadAndDepthStaysBounded)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
+    ServingConfig policy = fixed_batch(4);
     policy.max_queue_delay = 0.0;
     policy.max_queue_length = 8;
     auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(20, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
 
     EXPECT_EQ(report->submitted, 20u);
@@ -181,16 +186,15 @@ TEST(Scheduler, QueueCapShedsLoadAndDepthStaysBounded)
 
 TEST(Scheduler, ReportAggregatesAreConsistent)
 {
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
+    ServingConfig policy = fixed_batch(4);
     policy.max_queue_delay = 0.1;
-    SloSpec slo;
-    slo.ttft_target = 1e9; // everything meets it
-    auto server = Server::create(small_spec(), policy, slo);
+    policy.enforce_ttft = true;
+    policy.ttft_target = 1e9; // everything meets it
+    auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(6, 0.0)).is_ok());
     ASSERT_TRUE(server->submit(burst(3, 2.0, 6)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
 
     ASSERT_EQ(report->completed, 9u);
@@ -219,18 +223,42 @@ TEST(Scheduler, SloSplitsGoodputFromThroughput)
 {
     // Impossible TTFT target: goodput collapses to zero while
     // throughput does not.
-    SchedulerPolicy policy;
-    policy.max_batch = 4;
-    SloSpec slo;
-    slo.ttft_target = 1e-6;
-    auto server = Server::create(small_spec(), policy, slo);
+    ServingConfig policy = fixed_batch(4);
+    policy.enforce_ttft = true;
+    policy.ttft_target = 1e-6;
+    auto server = Server::create(small_spec(), policy);
     ASSERT_TRUE(server.is_ok());
     ASSERT_TRUE(server->submit(burst(4, 0.0)).is_ok());
-    const auto report = server->run();
+    const auto report = server->serve();
     ASSERT_TRUE(report.is_ok());
     EXPECT_DOUBLE_EQ(report->slo_attainment, 0.0);
     EXPECT_DOUBLE_EQ(report->goodput, 0.0);
     EXPECT_GT(report->throughput, 0.0);
+}
+
+TEST(Scheduler, EverythingShedLeavesAnEmptyMakespan)
+{
+    // Three prompts that do not fit HBM even alone: nothing completes,
+    // so no span of the run may be booked as engine idle.
+    ServingSpec spec = small_spec();
+    spec.model = model::opt_config(OptVariant::kOpt30B);
+    spec.compress_weights = true;
+    auto server = Server::create(spec);
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    server->enable_telemetry(true);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        ASSERT_TRUE(server
+                        ->submit(workload::Request{i, 400000, 21},
+                                 5.0 + static_cast<double>(i))
+                        .is_ok());
+    }
+    const auto report = server->serve();
+    ASSERT_TRUE(report.is_ok()) << report.status().to_string();
+    EXPECT_EQ(report->hbm_rejected, 3u);
+    EXPECT_EQ(report->completed, 0u);
+    EXPECT_EQ(report->makespan, 0.0);
+    EXPECT_EQ(report->throughput, 0.0);
+    EXPECT_EQ(server->attribution().wall(), 0.0);
 }
 
 TEST(Scheduler, ShimReproducesSeedAggregatesBitForBit)
@@ -305,13 +333,12 @@ TEST(SchedulerIntegration, HelmBeatsBaselineP99TtftOnNvdram)
         spec.memory = mem::ConfigKind::kNvdram;
         spec.placement = scheme;
         spec.compress_weights = true;
-        SchedulerPolicy policy;
-        policy.max_batch = 2;
+        ServingConfig policy = fixed_batch(2);
         policy.max_queue_delay = 0.5;
         auto server = Server::create(spec, policy);
         EXPECT_TRUE(server.is_ok()) << server.status().to_string();
         EXPECT_TRUE(server->submit(*stream).is_ok());
-        auto report = server->run();
+        auto report = server->serve();
         EXPECT_TRUE(report.is_ok()) << report.status().to_string();
         EXPECT_EQ(report->completed, stream->size());
         return report->ttft_percentile(99.0);
